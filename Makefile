@@ -1,7 +1,7 @@
 # js-ceres — OCaml reproduction of "Are web applications ready for
 # parallelism?" (PPoPP 2015)
 
-.PHONY: all build test check chaos analyze analyze-smoke advise advise-smoke serve-smoke serve-stress-smoke par-exec-smoke bench bench-smoke examples reports clean
+.PHONY: all build test check chaos analyze analyze-smoke advise advise-smoke serve-smoke serve-stress-smoke par-exec-smoke bench bench-smoke perfbench-selfcheck examples reports clean
 
 all: build
 
@@ -273,6 +273,12 @@ bench-smoke: build
 	    > _build/bench-smoke.json; \
 	  echo "bench smoke OK"; \
 	fi
+
+# Benchmark self-check: every perfbench workload briefly, checking
+# each metric's presence and unit and that exact counts repeat on one
+# seed. It takes minutes, so it stays outside `check`.
+perfbench-selfcheck:
+	python3 perfbench/selfcheck.py
 
 examples:
 	dune exec examples/quickstart.exe

@@ -180,6 +180,9 @@ let create ?domains ?(on_error = default_on_error) () =
 
 let size t = t.n
 
+(* Round-robin over the worker deques (ids 1 .. n-1); needs n > 1. *)
+let next_worker t = 1 + (Atomic.fetch_and_add t.rr 1 mod (t.n - 1))
+
 let submit t job =
   if Atomic.get t.down then
     invalid_arg "Js_parallel.Pool.submit: pool is shut down";
@@ -195,10 +198,51 @@ let submit t job =
   (* Deal onto the worker deques round-robin (the caller's own deque
      when there are no workers); an idle worker that lands on nothing
      steals it from wherever it went. *)
-  let slot =
-    if t.n = 1 then 0 else 1 + (Atomic.fetch_and_add t.rr 1 mod (t.n - 1))
-  in
-  Deque.push t.deques.(slot) job
+  Deque.push t.deques.(if t.n = 1 then 0 else next_worker t) job
+
+(* The blocking counterpart of [parallel_for] for callers that must not
+   interpret: the service's session threads share the main domain's
+   runtime lock, so one of them running a job would stall every other
+   session. Jobs go to the worker deques only, bypassing the chaos
+   submit site (the fire-and-forget ordinal stays a function of the
+   program's own [submit]s), and the caller sleeps on a condition
+   until the last one reports. The first failure in job order is
+   re-raised once all have finished, so a raise cannot orphan a
+   sibling still writing its slot. *)
+let run_all t jobs =
+  if t.n = 1 || Atomic.get t.down then Array.map (fun f -> f ()) jobs
+  else begin
+    let m = Mutex.create () and finished = Condition.create () in
+    let results = Array.make (Array.length jobs) None in
+    let pending = ref (Array.length jobs) in
+    Array.iteri
+      (fun i f ->
+         let job () =
+           let r =
+             match f () with
+             | v -> Ok v
+             | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
+           in
+           Mutex.lock m;
+           results.(i) <- Some r;
+           decr pending;
+           if !pending = 0 then Condition.signal finished;
+           Mutex.unlock m
+         in
+         Deque.push t.deques.(next_worker t) job)
+      jobs;
+    Mutex.lock m;
+    while !pending > 0 do
+      Condition.wait finished m
+    done;
+    Mutex.unlock m;
+    Array.map
+      (function
+        | Some (Ok v) -> v
+        | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
+        | None -> assert false)
+      results
+  end
 
 let shutdown t =
   (* compare_and_set makes idempotence race-safe: exactly one caller

@@ -36,6 +36,19 @@ val submit : t -> (unit -> unit) -> unit
     silently-parked job that no worker will ever run is never
     created. *)
 
+val run_all : t -> (unit -> 'a) array -> 'a array
+(** [run_all t jobs] runs every job on the worker domains and returns
+    their results in job order. Jobs are dealt round-robin onto the
+    worker deques (idle workers steal); the calling thread never runs
+    one — it blocks on a condition variable until all have finished,
+    so other systhreads of its domain keep running meanwhile. Several
+    threads may call it at once. If jobs raise, the first failure in
+    job order is re-raised in the caller after every job finished.
+    Unlike {!submit}, it never consults {!Fault.submit_doom}, so chaos
+    schedules do not depend on it. On a 1-participant (or shut-down)
+    pool the jobs run inline, in order. Must not be called from inside
+    a pool job. *)
+
 val shutdown : t -> unit
 (** Drain every deque and join all workers. The pool must not be used
     afterwards. Idempotent and safe to race: exactly one caller

@@ -20,12 +20,11 @@ let run ?pool ?recover ~key ~exec reqs =
       reqs
   in
   let distinct = Array.of_list (List.rev !distinct) in
-  let results = Array.make (Array.length distinct) None in
   (* The confinement must live *inside* the per-item execution: the
-     pool re-raises the first chunk exception at the join and cancels
-     the wave's remaining chunks, so an unconfined [exec] failure
-     would lose the other N-1 responses, not just its own. *)
-  let exec_one req =
+     pool re-raises a job's exception at the join, so an unconfined
+     [exec] failure would lose the other N-1 responses, not just its
+     own. *)
+  let exec_one req () =
     match recover with
     | None -> exec req
     | Some recover -> (
@@ -33,11 +32,10 @@ let run ?pool ?recover ~key ~exec reqs =
         | resp -> resp
         | exception exn -> recover req exn)
   in
-  (match pool with
-   | Some p when Array.length distinct > 1 ->
-     Js_parallel.Pool.parallel_for p ~lo:0 ~hi:(Array.length distinct)
-       ~chunk:1
-       (fun i -> results.(i) <- Some (exec_one distinct.(i)))
-   | _ ->
-     Array.iteri (fun i req -> results.(i) <- Some (exec_one req)) distinct);
-  List.map (fun slot -> Option.get results.(slot)) slots
+  let jobs = Array.map exec_one distinct in
+  let results =
+    match pool with
+    | Some p -> Js_parallel.Pool.run_all p jobs
+    | None -> Array.map (fun job -> job ()) jobs
+  in
+  List.map (fun slot -> results.(slot)) slots

@@ -3,9 +3,10 @@
 
     Identical requests (same [key]) are deduplicated — executed once,
     with every occurrence sharing the one response — and the distinct
-    ones fan out over the pool's work-stealing deques (chunk size 1,
-    like the parallel analysis driver), or run sequentially without a
-    pool. Response order always follows request order. *)
+    ones run on the pool's worker domains via
+    {!Js_parallel.Pool.run_all} (the caller only waits), or
+    sequentially in the caller without a pool. A single request is a
+    wave of one. Response order always follows request order. *)
 
 val run :
   ?pool:Js_parallel.Pool.t ->
@@ -17,8 +18,8 @@ val run :
 (** When [recover] is given, an exception raised by [exec] for one
     request is confined to that request's slot: [recover req exn]
     supplies its response and every other request in the wave still
-    completes. (Without it, the exception propagates through the pool
-    join and the whole batch is lost — so callers whose [exec] can
+    completes. (Without it, the exception propagates to the caller
+    and the whole batch is lost — so callers whose [exec] can
     raise should always pass [recover].) Occurrences deduplicated onto
     a failed slot share the recovered response, exactly as they would
     share a successful one. *)

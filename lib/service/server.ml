@@ -3,10 +3,14 @@
 
      accept -> parse -> admit -> execute -> respond
 
-   pipeline. Sessions are systhreads (the pool's domains stay
-   dedicated to workload fan-out); per-request supervision state is
-   thread-local ([Js_parallel.Tls]), so concurrent sessions cannot
-   stomp each other's watchdog budgets or chaos sessions.
+   pipeline. Sessions are systhreads on the main domain that only
+   read, admit, answer cache hits and write replies: with a pool, the
+   service runs every miss on the worker domains while its session
+   blocks on a condition, so no session interprets while holding the
+   main domain's runtime lock and a hit never waits behind another
+   session's miss. Per-request supervision state is thread-local
+   ([Js_parallel.Tls]), so concurrent requests cannot stomp each
+   other's watchdog budgets or chaos sessions.
 
    Robustness invariants, each exercised by tests:
    - crash confinement: a torn line, oversized frame, bad JSON, or

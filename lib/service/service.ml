@@ -5,7 +5,9 @@
    keyed on the workload *name* (so injected failure sets stay a pure
    function of the seed, independent of scheduling), supervised by
    [Js_parallel.Supervisor.run] with the service's retry and watchdog
-   policy. On top of that sit the result cache and the batcher. *)
+   policy. On top of that sit the result cache and the batcher: every
+   request is a batch (a single one is a batch of one), whose misses
+   run on the pool's workers when there is a pool. *)
 
 module Json = Ceres_util.Json
 module Request = Request
@@ -32,7 +34,9 @@ type t = {
 
 let create ?(jobs = 1) ?(retries = 1) ?watchdog_ms ?cache_capacity () =
   { pool =
-      (if jobs > 1 then Some (Js_parallel.Pool.create ~domains:jobs ())
+      (* [jobs] workers: the caller's participant slot stays idle,
+         since a caller only waits for its requests *)
+      (if jobs > 1 then Some (Js_parallel.Pool.create ~domains:(jobs + 1) ())
        else None);
     cache = Cache.create ?capacity:cache_capacity ();
     retries;
@@ -42,7 +46,7 @@ let create ?(jobs = 1) ?(retries = 1) ?watchdog_ms ?cache_capacity () =
         watchdog_ms }
 
 let jobs t =
-  match t.pool with Some p -> Js_parallel.Pool.size p | None -> 1
+  match t.pool with Some p -> Js_parallel.Pool.size p - 1 | None -> 1
 
 (* ------------------------------------------------------------------ *)
 
@@ -111,14 +115,6 @@ let resolve (req : Request.t) =
     let req = { req with Request.workload = w.Workloads.Workload.name } in
     Ok (req, w, Request.key ~source:w.Workloads.Workload.source req)
 
-let run t req =
-  match resolve req with
-  | Error resp -> resp
-  | Ok (req, w, key) -> (
-      match Cache.find t.cache key with
-      | Some resp -> resp
-      | None -> compute t w req key)
-
 let run_batch t reqs =
   (* Probe the cache in request order first, then fan the distinct
      misses out as one wave. *)
@@ -133,11 +129,6 @@ let run_batch t reqs =
              | None -> Either.Left (req, w, key)))
       reqs
   in
-  let misses =
-    List.filter_map
-      (function Either.Left m -> Some m | Either.Right _ -> None)
-      items
-  in
   let computed =
     (* [compute] confines workload failures itself (Supervisor.run),
        but a bug in the service layer — cache, keying, report
@@ -148,7 +139,7 @@ let run_batch t reqs =
           ("internal: " ^ Printexc.to_string exn))
       ~key:(fun (_, _, k) -> k)
       ~exec:(fun (req, w, key) -> compute t w req key)
-      misses
+      (List.filter_map Either.find_left items)
   in
   let remaining = ref computed in
   List.map
@@ -161,6 +152,9 @@ let run_batch t reqs =
            resp
          | [] -> assert false))
     items
+
+let run t req =
+  match run_batch t [ req ] with [ resp ] -> resp | _ -> assert false
 
 let cache_stats t = Cache.stats t.cache
 let cache t = t.cache

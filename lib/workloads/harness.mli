@@ -106,13 +106,13 @@ val static_label : Analysis.Verdict.t -> string
     order-insensitive) / [reduction] (order-sensitive, journal-replay
     schedule) / [rtc] / [seq]. *)
 
-val inspect :
-  ?fraction:float -> ?max_nests:int -> Workload.t -> nest_row list
+val inspect : ?max_nests:int -> Workload.t -> nest_row list
 (** The full Table 3 pipeline for one workload: loop-profile pass to
     find the hot nests, dependence pass to characterize them, then
-    classification. Returns the application's paper row count by
-    default; [max_nests] widens it (the Amdahl bench classifies every
-    nest). *)
+    classification. Returns the hottest root nests by loop time: the
+    first [w.hot_nest_count] (the application's paper row count) by
+    default, or the first [max_nests] when given (the Amdahl bench
+    classifies every nest); fewer when fewer nests ran. *)
 
 (** One loop of the static-vs-dynamic cross-validation. *)
 type crossval_row = {

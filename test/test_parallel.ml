@@ -179,6 +179,66 @@ let test_submit_failure_reported () =
          (Helpers.contains ~sub:"\"tasks_failed\":1"
             (Js_parallel.Pool.stats_json p)))
 
+(* [run_all]: the blocking primitive the service's session threads
+   wait on. Jobs run on worker domains only, never the caller's. *)
+let self_domain () = (Domain.self () :> int)
+
+let test_run_all_on_workers () =
+  Js_parallel.Pool.with_pool ~domains:3 (fun p ->
+      let caller = self_domain () in
+      let doms = Js_parallel.Pool.run_all p (Array.make 12 self_domain) in
+      Alcotest.(check int) "one result per job" 12 (Array.length doms);
+      Array.iter
+        (fun d -> Alcotest.(check bool) "ran off the caller's domain" true
+            (d <> caller))
+        doms;
+      Alcotest.(check (array int)) "results in job order" [| 0; 1; 4; 9 |]
+        (Js_parallel.Pool.run_all p (Array.init 4 (fun i () -> i * i)));
+      Alcotest.(check (array int)) "empty wave" [||]
+        (Js_parallel.Pool.run_all p [||]);
+      Alcotest.(check int) "participant 0 executed nothing" 0
+        (List.hd (Js_parallel.Pool.stats p).domains).tasks_executed)
+
+let test_run_all_reraises () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun p ->
+      let ran = Atomic.make 0 in
+      let job i () =
+        Atomic.incr ran;
+        if i = 1 || i = 3 then failwith (Printf.sprintf "job %d" i)
+      in
+      (match Js_parallel.Pool.run_all p (Array.init 5 job) with
+       | _ -> Alcotest.fail "a raising job must re-raise in the caller"
+       | exception Failure msg ->
+         Alcotest.(check string) "first failure in job order" "job 1" msg);
+      Alcotest.(check int) "every job still ran" 5 (Atomic.get ran);
+      Alcotest.(check (array int)) "pool usable afterwards" [| 7 |]
+        (Js_parallel.Pool.run_all p [| (fun () -> 7) |]))
+
+let test_run_all_inline_on_one_participant () =
+  Js_parallel.Pool.with_pool ~domains:1 (fun p ->
+      let here = (self_domain (), Thread.id (Thread.self ())) in
+      let where () = (self_domain (), Thread.id (Thread.self ())) in
+      Array.iter
+        (fun w -> Alcotest.(check (pair int int)) "ran in the caller" here w)
+        (Js_parallel.Pool.run_all p [| where; where |]))
+
+(* Chaos: [run_all] must not draw pool-submit ordinals, or enabling the
+   server's execution pool would shift every seed's submit schedule.
+   The doom sequence drawn after a [run_all] equals the one drawn on a
+   fresh seed; [Some n] carries the ordinal, so any advance shows. *)
+let test_run_all_bypasses_submit_doom () =
+  let draws () = List.init 20 (fun _ -> Js_parallel.Fault.submit_doom ()) in
+  Js_parallel.Fault.enable ~seed:3;
+  Fun.protect ~finally:Js_parallel.Fault.disable (fun () ->
+      let reference = draws () in
+      Alcotest.(check bool) "the seed dooms some ordinal" true
+        (List.exists Option.is_some reference);
+      Js_parallel.Fault.enable ~seed:3;
+      Js_parallel.Pool.with_pool ~domains:3 (fun p ->
+          ignore (Js_parallel.Pool.run_all p (Array.make 8 (fun () -> ()))));
+      Alcotest.(check (list (option int))) "submit ordinal did not advance"
+        reference (draws ()))
+
 (* Property: whatever chunking and whichever index fails, the raise is
    re-raised in the caller, no chunk is left parked, and the same pool
    then runs a clean parallel_for and parallel_reduce. *)
@@ -420,6 +480,12 @@ let suite =
     ("submitted jobs run", `Quick, test_submitted_jobs_run);
     ("submit failures reported", `Quick, test_submit_failure_reported);
     qtest prop_pool_reusable_after_failure;
+    ("run_all runs on workers", `Quick, test_run_all_on_workers);
+    ("run_all re-raises", `Quick, test_run_all_reraises);
+    ("run_all inline on 1 participant", `Quick,
+     test_run_all_inline_on_one_participant);
+    ("run_all bypasses submit doom", `Quick,
+     test_run_all_bypasses_submit_doom);
     ("telemetry tasks = chunks", `Quick, test_telemetry_tasks_sum_to_chunks);
     ("telemetry steals under imbalance", `Slow,
      test_telemetry_steals_under_imbalance);

@@ -295,6 +295,36 @@ let test_run_batch_confines_failures () =
          (Service.Response.error_code_name e.code))
   | _ -> assert false
 
+(* Single requests from two session threads both run on the pool's
+   worker domains: the callers (participant 0) only wait. Each cold
+   request takes ~100 ms of interpretation, so the second lands while
+   the first still occupies its worker and the idle one takes it. *)
+let test_single_requests_run_on_workers () =
+  let reqs =
+    [ Service.Request.make Service.Request.Profile "HAAR.js";
+      Service.Request.make Service.Request.Profile "fluidSim" ]
+  in
+  let inline = Service.create ~jobs:1 () in
+  let expected = List.map (fun r -> render (Service.run inline r)) reqs in
+  let svc = Service.create ~jobs:2 () in
+  let got = Array.make 2 "" in
+  let threads =
+    List.mapi
+      (fun i r ->
+         Thread.create (fun () -> got.(i) <- render (Service.run svc r)) ())
+      reqs
+  in
+  List.iter Thread.join threads;
+  let st = Option.get (Service.pool_stats svc) in
+  Service.shutdown svc;
+  Alcotest.(check (list string)) "byte-equal to the jobs:1 run" expected
+    (Array.to_list got);
+  Alcotest.(check (list int)) "workers ran one request each, caller none"
+    [ 0; 1; 1 ]
+    (List.map
+       (fun (d : Js_parallel.Telemetry.domain_stats) -> d.tasks_executed)
+       st.domains)
+
 let batch_equals_sequential =
   QCheck.Test.make ~name:"run_batch = List.map run" ~count:12
     QCheck.(
@@ -434,6 +464,8 @@ let suite =
     Alcotest.test_case "run_batch confines a failing member" `Quick
       test_run_batch_confines_failures;
     qtest batch_equals_sequential;
+    Alcotest.test_case "single requests run on pool workers" `Quick
+      test_single_requests_run_on_workers;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
     Alcotest.test_case "serve matches direct calls (12 workloads)" `Quick
       test_serve_matches_direct;
