@@ -1,7 +1,7 @@
 # js-ceres — OCaml reproduction of "Are web applications ready for
 # parallelism?" (PPoPP 2015)
 
-.PHONY: all build test check chaos analyze analyze-smoke advise advise-smoke serve-smoke serve-stress-smoke par-exec-smoke bench bench-smoke perfbench-selfcheck examples reports clean
+.PHONY: all build test check chaos analyze analyze-smoke advise advise-smoke serve-smoke serve-stress-smoke par-exec-smoke bench perfbench-selfcheck examples reports clean
 
 all: build
 
@@ -23,7 +23,6 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) serve-stress-smoke
 	$(MAKE) par-exec-smoke
-	$(MAKE) bench-smoke
 	$(MAKE) chaos
 
 # Static analyzer sweep: run `jsceres analyze --format=json` over every
@@ -255,25 +254,6 @@ chaos: build
 bench:
 	dune exec bench/main.exe
 
-# Perf regression gate: re-measure the two heaviest workloads cold and
-# compare their total pass wall time against the committed
-# BENCH_baseline.json. A workload only fails the gate when it is both
-# >25% and >25 ms over its baseline, so timer noise cannot trip it.
-# After an intentional perf change, refresh the whole baseline with
-# BENCH_REGEN=1 (re-measures all 12 workloads).
-BENCH_SMOKE_WORKLOADS = HAAR.js fluidSim
-
-bench-smoke: build
-	@if [ -n "$(BENCH_REGEN)" ]; then \
-	  dune exec bench/main.exe -- --json > BENCH_baseline.json; \
-	  echo "bench baseline regenerated"; \
-	else \
-	  dune exec bench/main.exe -- --json \
-	    --check-against BENCH_baseline.json $(BENCH_SMOKE_WORKLOADS) \
-	    > _build/bench-smoke.json; \
-	  echo "bench smoke OK"; \
-	fi
-
 # Benchmark self-check: every perfbench workload briefly, checking
 # each metric's presence and unit and that exact counts repeat on one
 # seed. It takes minutes, so it stays outside `check`.
@@ -285,7 +265,7 @@ examples:
 	dune exec examples/nbody_analysis.exe
 	dune exec examples/image_pipeline.exe
 	dune exec examples/survey_report.exe
-	dune exec examples/speculative_cloth.exe
+	dune exec examples/par_exec_cloth.exe
 
 # Per-application markdown reports (paper Fig. 5 steps 5-7).
 reports:

@@ -34,19 +34,6 @@ let exec_passes () =
   in
   (passes, measure_pe, par_pe)
 
-let nest_speedup_rows measure_pe par_pe =
-  let seq_rows = PE.nest_rows measure_pe in
-  List.map
-    (fun (id, label, (ps : PE.nest_stats)) ->
-       let seq_ms =
-         match List.find_opt (fun (i, _, _) -> i = id) seq_rows with
-         | Some (_, _, (ss : PE.nest_stats)) -> ss.seq_ms
-         | None -> 0.
-       in
-       (id, label, ps, seq_ms,
-        if ps.par_ms > 0. then seq_ms /. ps.par_ms else 0.))
-    (PE.nest_rows par_pe)
-
 let section_requested args name = args = [] || List.mem name args
 
 let header name =
@@ -496,7 +483,7 @@ let parexec () =
                     Printf.sprintf "%.1f" ps.par_ms;
                     (if speedup > 0. then Printf.sprintf "%.2fx" speedup
                      else "-") ])
-             (nest_speedup_rows m p))
+             (PE.speedup_rows ~measure:m p))
         Workloads.Registry.all);
   Ceres_util.Table.print tbl;
   Printf.printf
@@ -856,15 +843,12 @@ let nbody () =
   print_string (Examples_support.Nbody.report ())
 
 (* ------------------------------------------------------------------ *)
-(* `--json`: the machine-readable perf baseline behind
-   BENCH_baseline.json and `make bench-smoke`. Runs each requested
+(* `--json`: a machine-readable perf report. Runs each requested
    workload (default: all) cold through the four analysis passes plus
    the two execution passes (sequential and pool-parallel sessions) on
    a fresh interpreter state, fixed scale, and prints per-pass wall
    milliseconds plus GC minor/major words and the per-nest
-   parallel-execution speedup rows. With
-   `--check-against FILE` the run additionally compares itself against
-   a committed baseline and exits 1 on a wall-time regression. *)
+   parallel-execution speedup rows. *)
 
 let bench_passes : (string * (Workloads.Workload.t -> unit)) list =
   [ ("profile", fun w -> ignore (Workloads.Harness.run_lightweight w));
@@ -934,7 +918,7 @@ let json_bench names : Ceres_util.Json.t =
                               ("seq_ms", Fixed (3, seq_ms));
                               ("par_ms", Fixed (3, ps.par_ms));
                               ("speedup", Fixed (2, speedup)) ])
-                      (nest_speedup_rows m p)
+                      (PE.speedup_rows ~measure:m p)
                   | _ -> []
                 in
                 Obj
@@ -943,100 +927,7 @@ let json_bench names : Ceres_util.Json.t =
                     ("parexec", List parexec_json) ])
              ws) ) ]
 
-(* Wall time of one workload across all passes in a bench document. *)
-let bench_workload_wall doc name =
-  let open Ceres_util.Json in
-  match member "workloads" doc with
-  | Some (List ws) ->
-    List.find_map
-      (fun w ->
-         match member "name" w with
-         | Some (Str n) when String.equal n name ->
-           (match member "passes" w with
-            | Some (List ps) ->
-              Some
-                (List.fold_left
-                   (fun acc p ->
-                      match
-                        Option.bind (member "wall_ms" p) float_opt
-                      with
-                      | Some ms -> acc +. ms
-                      | None -> acc)
-                   0. ps)
-            | _ -> None)
-         | _ -> None)
-      ws
-  | _ -> None
-
-(* Regression gate for `make bench-smoke`: a workload regresses when
-   its total pass wall time exceeds the committed baseline by more
-   than 25% *and* by more than 25 ms (the absolute floor keeps timer
-   noise on sub-100ms passes from tripping the relative gate). *)
-let json_check ~baseline_file (doc : Ceres_util.Json.t) =
-  let baseline =
-    let text =
-      try
-        let ic = open_in_bin baseline_file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error m ->
-        Printf.eprintf "bench --json: cannot read %s: %s\n" baseline_file m;
-        exit 1
-    in
-    match Ceres_util.Json.of_string text with
-    | Ok doc -> doc
-    | Error m ->
-      Printf.eprintf "bench --json: %s does not parse: %s\n" baseline_file m;
-      exit 1
-  in
-  let failed = ref false in
-  (match doc with
-   | Ceres_util.Json.Obj _ ->
-     (match Ceres_util.Json.member "workloads" doc with
-      | Some (Ceres_util.Json.List ws) ->
-        List.iter
-          (fun w ->
-             match Ceres_util.Json.member "name" w with
-             | Some (Ceres_util.Json.Str name) ->
-               (match
-                  ( bench_workload_wall doc name,
-                    bench_workload_wall baseline name )
-                with
-                | Some cur, Some base ->
-                  if cur > (base *. 1.25) +. 0.0 && cur -. base > 25. then begin
-                    Printf.eprintf
-                      "bench --json: %s regressed: %.1f ms vs baseline \
-                       %.1f ms (>25%%)\n"
-                      name cur base;
-                    failed := true
-                  end
-                  else
-                    Printf.eprintf "bench --json: %s ok: %.1f ms vs %.1f ms\n"
-                      name cur base
-                | _, None ->
-                  Printf.eprintf
-                    "bench --json: %s not in baseline; skipping gate\n" name
-                | None, _ -> ())
-             | _ -> ())
-          ws
-      | _ -> ())
-   | _ -> ());
-  if !failed then exit 1
-
-let json_main rest =
-  let check, names =
-    let rec go check acc = function
-      | [] -> (check, List.rev acc)
-      | "--check-against" :: file :: rest -> go (Some file) acc rest
-      | [ "--check-against" ] ->
-        Printf.eprintf "--check-against expects a file\n";
-        exit 1
-      | a :: rest -> go check (a :: acc) rest
-    in
-    go None [] rest
-  in
+let json_main names =
   let doc = json_bench names in
   let rendered = Ceres_util.Json.to_string_pretty doc in
   (* self-check: the document we print must re-parse *)
@@ -1045,10 +936,7 @@ let json_main rest =
    | Error m ->
      Printf.eprintf "bench --json: emitted JSON does not parse: %s\n" m;
      exit 1);
-  print_string rendered;
-  (match check with
-   | Some file -> json_check ~baseline_file:file doc
-   | None -> ())
+  print_string rendered
 
 (* Pull `--jobs N` (or `--jobs=N`) out of argv; everything else is a
    section name. *)

@@ -185,8 +185,8 @@ let par_stats_arg =
     & info [ "par-stats" ]
         ~doc:
           "With --par-exec: print per-nest parallel-execution telemetry \
-           (chunks, fork/merge time, fallbacks, pool counters) as JSON on \
-           stderr.")
+           (chunks, fork/merge time, fallbacks and their reasons, pool \
+           counters) as JSON on stderr.")
 
 let print_session (ctx : Workloads.Harness.run_context) =
   List.iter print_endline (List.rev ctx.st.Interp.Value.console);

@@ -5,8 +5,8 @@
    a small statistics kernel with several classic obstacles at once —
    leaked temporaries, a scalar accumulation, a running maximum, an
    anti-dependent shift and per-iteration DOM output — and prints the
-   ranked advice JS-CERES derives, then shows the speculative executor
-   agreeing with it.
+   ranked advice JS-CERES derives, then shows the parallel loop
+   executor running the transformed loop.
 
    Run with: dune exec examples/advice_tour.exe *)
 
@@ -61,25 +61,26 @@ let () =
     (Ceres.Advice.render ~label:"the statistics loop"
        (Ceres.Advice.for_nest rt ~root ~dom_accesses:dom));
 
-  print_endline "\n--- speculation agrees ---";
-  (* With the DOM output hoisted and the reductions handled by the
-     harness accumulator, the remaining per-element work speculates
-     cleanly: *)
-  let setup =
-    "var samples = [];\n\
-     (function() { var i; for (i = 0; i < 64; i++) { samples.push((i * 37 + 11) % 101); } })();"
+  print_endline "\n--- par-exec agrees ---";
+  (* With the DOM output hoisted and the temporaries inlined, the
+     static analyzer proves the remaining loop (a sum plus the
+     anti-dependent shift) and Par_exec runs it on the pool: *)
+  let transformed =
+    Jsir.Parser.parse_program
+      "var samples = [];\n\
+       (function() { var i; for (i = 0; i < 64; i++) { samples.push((i * 37 + 11) % 101); } })();\n\
+       var sum = 0;\n\
+       for (var i = 0; i < 63; i++) { sum += samples[i] * 1.5; samples[i] = samples[i + 1]; }\n\
+       console.log(\"transformed loop: sum\", sum);"
   in
-  let iter =
-    "function(i) { var s = samples[i] * 1.5; samples[i] = samples[i + 1]; return s; }"
-  in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-      ~lo:0 ~hi:63 ()
-  with
-  | Committed { result; domains } ->
-    Printf.printf
-      "transformed loop committed on %d domains; reduced sum = %.1f\n" domains
-      result
-  | Aborted reason ->
-    Printf.printf "unexpected abort: %s\n"
-      (Js_parallel.Speculative.abort_reason_to_string reason)
+  let report = Analysis.Driver.analyze transformed in
+  print_string (Analysis.Driver.to_text report);
+  let st = Interp.Eval.create () in
+  Interp.Builtins.install st;
+  st.Interp.Value.echo_console <- true;
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = Js_parallel.Par_exec.create ~mode:(Parallel pool) ~jobs:2 () in
+      Js_parallel.Par_exec.install pe st ~report;
+      Interp.Eval.run_program st transformed;
+      Printf.printf "nests run in parallel: %d\n"
+        (Js_parallel.Par_exec.nests_run pe))

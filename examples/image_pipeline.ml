@@ -3,8 +3,8 @@
 
    The MiniJS program paints a synthetic photo on a canvas and applies
    a filter chain. We (1) verify with JS-CERES that the filter loop has
-   no loop-carried dependences, (2) speculatively parallelize the same
-   per-pixel function with the share-nothing executor, and (3) run the
+   no loop-carried dependences, (2) run the app again with the loops
+   the static analyzer proves executed on the domain pool, and (3) run the
    equivalent native kernel under the domain pool and compare
    checksums.
 
@@ -53,31 +53,20 @@ let () =
     (Ceres.Instrument.program Ceres.Instrument.Dependence program);
   print_string (Ceres.Report.dependence_report rt infos);
 
-  (* 2. speculative parallelization of the per-pixel kernel *)
-  print_endline "\n--- speculative parallelization ---";
-  let setup =
-    {|var W = 48; var H = 48;
-var data = [];
-(function() { var i; for (i = 0; i < W * H * 4; i++) { data.push((i * 37) % 256); } })();|}
-  in
-  let iter =
-    {|function(i) {
-  var o = i * 4;
-  var r = data[o] * 1.1 + 10;
-  data[o] = r > 255 ? 255 : r;
-  return data[o];
-}|}
-  in
-  (match
-     Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-       ~lo:0 ~hi:(48 * 48) ()
-   with
-   | Committed { result; domains } ->
-     Printf.printf "speculation committed on %d domains; checksum %.0f\n"
-       domains result
-   | Aborted reason ->
-     Printf.printf "speculation aborted: %s\n"
-       (Js_parallel.Speculative.abort_reason_to_string reason));
+  (* 2. the same app with its proven loops run on the pool *)
+  print_endline "\n--- par-exec of the filter app on a 2-domain pool ---";
+  let st = Interp.Eval.create () in
+  Interp.Builtins.install st;
+  ignore (Dom.Document.install st);
+  st.Interp.Value.echo_console <- true;
+  let report = Analysis.Driver.analyze program in
+  print_string (Analysis.Driver.to_text report);
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = Js_parallel.Par_exec.create ~mode:(Parallel pool) ~jobs:2 () in
+      Js_parallel.Par_exec.install pe st ~report;
+      Interp.Eval.run_program st program;
+      Printf.printf "nests run in parallel: %d\n"
+        (Js_parallel.Par_exec.nests_run pe));
 
   (* 3. native kernel under the pool *)
   print_endline "\n--- native kernel, sequential vs pool ---";

@@ -21,6 +21,8 @@ type measured_row = {
   m_jobs : int;
   m_seq_ms : float;
   m_par_ms : float;
+  m_fallbacks : int;
+  m_fallback_reasons : (string * int) list;
   m_nest_speedup : float;
   m_program_speedup : float;
   m_predicted : float;
@@ -220,22 +222,10 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
     Js_parallel.Pool.with_pool ~domains:jobs (fun pool ->
         let p = PE.create ~mode:(PE.Parallel pool) ~jobs () in
         ignore (Workloads.Harness.run_plain ~par:p w);
-        let seq_rows = PE.nest_rows m in
         List.filter_map
-          (fun (id, label, (ps : PE.nest_stats)) ->
+          (fun (id, label, (ps : PE.nest_stats), seq_ms, nest_speedup) ->
              if ps.instances <= 0 then None
              else begin
-               let seq_ms =
-                 match
-                   List.find_opt (fun (i, _, _) -> i = id) seq_rows
-                 with
-                 | Some (_, _, (ss : PE.nest_stats)) -> ss.seq_ms
-                 | None -> 0.
-               in
-               let nest_speedup =
-                 if ps.par_ms > 0. && seq_ms > 0. then seq_ms /. ps.par_ms
-                 else 0.
-               in
                let fraction =
                  match List.assoc_opt id r.fractions with
                  | Some f -> f
@@ -255,6 +245,8 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                    m_jobs = jobs;
                    m_seq_ms = seq_ms;
                    m_par_ms = ps.par_ms;
+                   m_fallbacks = ps.fallbacks;
+                   m_fallback_reasons = ps.fallback_reasons;
                    m_nest_speedup = nest_speedup;
                    m_program_speedup = program;
                    m_predicted = predicted;
@@ -264,7 +256,7 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                    m_within_band =
                      within_band ~predicted ~measured:program }
              end)
-          (PE.nest_rows p))
+          (PE.speedup_rows ~measure:m p))
   in
   r.measured <- rows;
   List.length rows
@@ -317,7 +309,9 @@ let json_of_measured (m : measured_row) : Ceres_util.Json.t =
       ("program_speedup", Fixed (2, m.m_program_speedup));
       ("predicted", Fixed (2, m.m_predicted));
       ("karp_flatt", Fixed (2, m.m_karp_flatt));
-      ("within_band", Bool m.m_within_band) ]
+      ("within_band", Bool m.m_within_band);
+      ("fallbacks", Int m.m_fallbacks);
+      ("fallback_reasons", PE.json_of_fallback_reasons m.m_fallback_reasons) ]
 
 let json_of_report (r : report) : Ceres_util.Json.t =
   let open Ceres_util.Json in

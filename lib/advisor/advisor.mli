@@ -31,6 +31,9 @@ type measured_row = {
   m_jobs : int;  (** pool domains the parallel run used *)
   m_seq_ms : float;  (** wall ms, individually-timed sequential run *)
   m_par_ms : float;  (** wall ms across parallel instances *)
+  m_fallbacks : int;  (** poisoned instances re-run sequentially *)
+  m_fallback_reasons : (string * int) list;
+      (** (poison reason, instances), sorted by reason *)
   m_nest_speedup : float;  (** seq_ms / par_ms; 0 when unmeasurable *)
   m_program_speedup : float;
       (** whole-program equivalent of the measured nest speedup
@@ -93,8 +96,9 @@ val analyze : ?cores:int list -> Workloads.Workload.t -> report
 val measure : ?jobs:int -> report -> Workloads.Workload.t -> int
 (** Ground-truth pass: run the workload once in [Par_exec] measure
     mode and once forked over a [jobs]-domain pool (default 2), join
-    the per-nest rows by loop id, and store one {!measured_row} per
-    nest that completed a parallel instance into [report.measured].
+    the per-nest rows by loop id ({!Js_parallel.Par_exec.speedup_rows}),
+    and store one {!measured_row} per nest that completed a parallel
+    instance into [report.measured].
     Returns how many nests were measured. Wall-clock based — never
     part of the golden-compared output. *)
 

@@ -24,12 +24,13 @@
 
    Anything the merge cannot prove deterministic *poisons* the nest:
    the forks are discarded, the untouched master re-runs the loop
-   sequentially, and the fallback is counted. The observable state
-   (console, heap, virtual clock busy ticks) is therefore byte-for-byte
-   identical to sequential execution by construction. The fallback
-   ladder is: static proof -> fork/merge parallel execution;
-   [Needs_runtime_check] -> the existing {!Speculative} validation
-   path; everything else (or any poison) -> sequential. *)
+   sequentially, and the fallback is counted under the reason that
+   poisoned it (paper Sec. 5.3: report why a loop did not run in
+   parallel). The observable state (console, heap, virtual clock busy
+   ticks) is therefore byte-for-byte identical to sequential execution
+   by construction. The fallback ladder is: static proof -> fork/merge
+   parallel execution; everything else ([Needs_runtime_check],
+   [Sequential], or any poison) -> sequential. *)
 
 open Interp
 open Interp.Value
@@ -51,13 +52,14 @@ type nest_stats = {
   mutable fork_ms : float;
   mutable merge_ms : float;
   mutable fallbacks : int;
+  mutable fallback_reasons : (string * int) list;
+      (* poison reason -> instances, sorted by reason *)
   mutable busy_ticks : int64; (* vticks attributed to the nest *)
 }
 
 type t = {
   mode : mode;
   jobs : int;
-  min_trips : int;
   plan : (int, kind) Hashtbl.t;
   labels : (int, string) Hashtbl.t;
   nests : (int, nest_stats) Hashtbl.t;
@@ -69,8 +71,12 @@ type t = {
 let oid_stride = 1 lsl 28
 let sid_stride = 1 lsl 24
 
-let create ?(min_trips = 8) ~mode ~jobs () =
-  { mode; jobs = max 1 jobs; min_trips; plan = Hashtbl.create 16;
+(* The smallest trip count worth forking for; below it the nest runs
+   sequentially. *)
+let min_trips = 8
+
+let create ~mode ~jobs () =
+  { mode; jobs = max 1 jobs; plan = Hashtbl.create 16;
     labels = Hashtbl.create 16; nests = Hashtbl.create 16; oid_floor = 0;
     sid_floor = 0; total_fallbacks = 0 }
 
@@ -81,7 +87,7 @@ let nest_stats t id =
     let s =
       { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
         par_ms = 0.; seq_ms = 0.; fork_ms = 0.; merge_ms = 0.; fallbacks = 0;
-        busy_ticks = 0L }
+        fallback_reasons = []; busy_ticks = 0L }
     in
     Hashtbl.add t.nests id s;
     s
@@ -597,10 +603,16 @@ let run_parallel t pool st scope this (lv : loop_visit) kind (h : header) lo
           entries
       in
       match !poisoned with
-      | Some _ ->
+      | Some why ->
         t.total_fallbacks <- t.total_fallbacks + 1;
-        (nest_stats t lv.lv_id).fallbacks <-
-          (nest_stats t lv.lv_id).fallbacks + 1;
+        let s = nest_stats t lv.lv_id in
+        let n =
+          Option.value ~default:0 (List.assoc_opt why s.fallback_reasons)
+        in
+        s.fallbacks <- s.fallbacks + 1;
+        s.fallback_reasons <-
+          List.sort compare
+            ((why, n + 1) :: List.remove_assoc why s.fallback_reasons);
         false
       | None ->
         (* phase B: commit in chunk order *)
@@ -668,7 +680,7 @@ let hook t st scope this (lv : loop_visit) : bool =
       else (
         match trip_count st scope h with
         | None -> false
-        | Some (_, trips) when trips < t.min_trips -> false
+        | Some (_, trips) when trips < min_trips -> false
         | Some (lo, trips) -> (
           match t.mode with
           | Measure -> run_measured t st scope this lv trips
@@ -707,6 +719,25 @@ let nest_rows t =
   in
   List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows
 
+let speedup_rows ~measure par =
+  let seq_rows = nest_rows measure in
+  List.map
+    (fun (id, label, ps) ->
+       let seq_ms =
+         match List.find_opt (fun (i, _, _) -> i = id) seq_rows with
+         | Some (_, _, ss) -> ss.seq_ms
+         | None -> 0.
+       in
+       (id, label, ps, seq_ms,
+        if ps.par_ms > 0. then seq_ms /. ps.par_ms else 0.))
+    (nest_rows par)
+
+let json_of_fallback_reasons reasons =
+  J.List
+    (List.map
+       (fun (why, n) -> J.Obj [ ("reason", J.Str why); ("count", J.Int n) ])
+       reasons)
+
 let json_of_nest (id, label, s) =
   J.Obj
     [ ("id", J.Int id);
@@ -720,6 +751,7 @@ let json_of_nest (id, label, s) =
       ("fork_ms", J.Fixed (3, s.fork_ms));
       ("merge_ms", J.Fixed (3, s.merge_ms));
       ("fallbacks", J.Int s.fallbacks);
+      ("fallback_reasons", json_of_fallback_reasons s.fallback_reasons);
       ("busy_ticks", J.Int (Int64.to_int s.busy_ticks)) ]
 
 let stats_json ?pool t =

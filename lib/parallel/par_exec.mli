@@ -30,9 +30,9 @@ type mode =
 
 type t
 
-val create : ?min_trips:int -> mode:mode -> jobs:int -> unit -> t
-(** [min_trips] (default 8) is the smallest trip count worth forking
-    for; below it the nest runs sequentially. *)
+val create : mode:mode -> jobs:int -> unit -> t
+(** A nest instance with fewer than 8 trips is not worth forking and
+    runs sequentially. *)
 
 val install : t -> Interp.Value.state -> report:Analysis.Driver.report -> unit
 (** Install the [on_loop] hook on [st], planning every nest the report
@@ -43,8 +43,13 @@ val nests_run : t -> int
 
 val stats_json : ?pool:Pool.t -> t -> string
 (** Per-nest telemetry — instances, chunks, iterations, fork/merge
-    wall-clock, fallbacks, attributed busy vticks — plus the pool
-    counters when [pool] is given. *)
+    wall-clock, fallbacks and why, attributed busy vticks — plus the
+    pool counters when [pool] is given. Each nest's
+    ["fallback_reasons"] is a list of [{"reason":…,"count":…}] sorted
+    by reason, whose counts sum to its ["fallbacks"]. *)
+
+val json_of_fallback_reasons : (string * int) list -> Ceres_util.Json.t
+(** The ["fallback_reasons"] list of {!stats_json}. *)
 
 (**/**)
 
@@ -57,10 +62,21 @@ type nest_stats = {
   mutable seq_ms : float;
   mutable fork_ms : float;
   mutable merge_ms : float;
-  mutable fallbacks : int;
+  mutable fallbacks : int;  (** poisoned instances re-run sequentially *)
+  mutable fallback_reasons : (string * int) list;
+      (** (poison reason, instances), sorted by reason; the counts sum
+          to [fallbacks] *)
   mutable busy_ticks : int64;
 }
 
 val nest_rows : t -> (int * string * nest_stats) list
-(** (loop id, label, stats), ascending id — consumed by [bench] to
-    build the measured-speedup table. *)
+(** (loop id, label, stats), ascending id. *)
+
+val speedup_rows :
+  measure:t -> t -> (int * string * nest_stats * float * float) list
+(** [speedup_rows ~measure par] joins a {!Measure}-mode run and a
+    {!Parallel}-mode run of the same program by loop id: one
+    [(id, label, parallel stats, seq_ms, seq_ms /. par_ms)] row per
+    nest of [par], ascending id. [seq_ms] is 0 when [measure] never
+    timed the nest; the speedup is 0 when [par] never ran it in
+    parallel. *)

@@ -43,7 +43,6 @@ let reset_counters c =
 
 let retries_total = Atomic.make 0
 let faults_total = Atomic.make 0
-let skipped_static_total = Atomic.make 0
 let cache_hits_total = Atomic.make 0
 let cache_misses_total = Atomic.make 0
 let cache_evictions_total = Atomic.make 0
@@ -59,7 +58,6 @@ let sessions_dropped_total = Atomic.make 0
 
 let note_retry () = Atomic.incr retries_total
 let note_fault_injected () = Atomic.incr faults_total
-let note_speculation_skipped_static () = Atomic.incr skipped_static_total
 let note_cache_hit () = Atomic.incr cache_hits_total
 let note_cache_miss () = Atomic.incr cache_misses_total
 let note_cache_eviction () = Atomic.incr cache_evictions_total
@@ -82,7 +80,6 @@ let sessions_dropped () = Atomic.get sessions_dropped_total
 
 let retries () = Atomic.get retries_total
 let faults_injected () = Atomic.get faults_total
-let speculation_skipped_static () = Atomic.get skipped_static_total
 let cache_hits () = Atomic.get cache_hits_total
 let cache_misses () = Atomic.get cache_misses_total
 let cache_evictions () = Atomic.get cache_evictions_total
@@ -90,7 +87,6 @@ let cache_evictions () = Atomic.get cache_evictions_total
 let reset_globals () =
   Atomic.set retries_total 0;
   Atomic.set faults_total 0;
-  Atomic.set skipped_static_total 0;
   Atomic.set cache_hits_total 0;
   Atomic.set cache_misses_total 0;
   Atomic.set cache_evictions_total 0;
@@ -250,8 +246,6 @@ type pool_stats = {
   loops_run : int;
   retries : int; (* supervisor retry count (process-wide) *)
   faults_injected : int; (* chaos injections fired (process-wide) *)
-  speculation_skipped_static : int;
-  (* speculative runs that bypassed bookkeeping on a static proof *)
   cache_hits : int; (* service result-cache hits (process-wide) *)
   cache_misses : int; (* service result-cache misses (process-wide) *)
   cache_evictions : int; (* service result-cache LRU evictions *)
@@ -277,7 +271,6 @@ let snapshot ~participants ~jobs_submitted (cs : counters array) log =
   Mutex.unlock log.m;
   { participants; jobs_submitted; loops_run;
     retries = retries (); faults_injected = faults_injected ();
-    speculation_skipped_static = speculation_skipped_static ();
     cache_hits = cache_hits (); cache_misses = cache_misses ();
     cache_evictions = cache_evictions ();
     domains; recent_loops }
@@ -304,7 +297,6 @@ let json_of_stats s : Ceres_util.Json.t =
       ("steals_succeeded", Int (total_steals s));
       ("retries", Int s.retries);
       ("faults_injected", Int s.faults_injected);
-      ("speculation_skipped_static", Int s.speculation_skipped_static);
       ("cache_hits", Int s.cache_hits);
       ("cache_misses", Int s.cache_misses);
       ("cache_evictions", Int s.cache_evictions);

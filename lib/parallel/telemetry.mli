@@ -28,13 +28,8 @@ val reset_counters : counters -> unit
 
 val note_retry : unit -> unit
 val note_fault_injected : unit -> unit
-val note_speculation_skipped_static : unit -> unit
 val retries : unit -> int
 val faults_injected : unit -> int
-
-val speculation_skipped_static : unit -> int
-(** Speculative loop runs that skipped conflict bookkeeping because
-    the static analyzer proved the loop parallel. *)
 
 val note_cache_hit : unit -> unit
 val note_cache_miss : unit -> unit
@@ -158,8 +153,6 @@ type pool_stats = {
   loops_run : int;
   retries : int; (** supervisor retries (process-wide counter) *)
   faults_injected : int; (** chaos injections fired (process-wide) *)
-  speculation_skipped_static : int;
-      (** speculative runs that bypassed bookkeeping on a static proof *)
   cache_hits : int; (** service result-cache hits (process-wide) *)
   cache_misses : int; (** service result-cache misses (process-wide) *)
   cache_evictions : int; (** service result-cache LRU evictions *)

@@ -6,22 +6,43 @@ let contains ~sub s =
   n = 0 || go 0
 
 (* Build a fresh interpreter with builtins (and optionally a DOM). *)
-let fresh_state ?(dom = false) () =
-  let st = Interp.Eval.create () in
+let fresh_state ?(dom = false) ?budget () =
+  let st = Interp.Eval.create ?budget () in
   Interp.Builtins.install st;
   let doc = if dom then Some (Dom.Document.install st) else None in
   (st, doc)
 
 (* Run a MiniJS source string; return the state. *)
-let run ?(dom = false) src =
-  let st, doc = fresh_state ~dom () in
+let run ?(dom = false) ?budget src =
+  let st, doc = fresh_state ~dom ?budget () in
   Interp.Eval.run_program st (Jsir.Parser.parse_program src);
   (st, doc)
 
 (* Run and return console output (oldest first). *)
-let run_console ?dom src =
-  let st, _ = run ?dom src in
+let run_console ?dom ?budget src =
+  let st, _ = run ?dom ?budget src in
   List.rev st.Interp.Value.console
+
+(* One 2-domain pool for every suite's par-exec runs: a fresh pool per
+   case would dominate the suites' runtime. *)
+let pool = lazy (Js_parallel.Pool.create ~domains:2 ())
+
+(* Run with a [Par_exec] on {!pool} executing every nest the static
+   analyzer proves; returns the console (oldest first) or the exception
+   that escaped the run, and the executor for its per-nest stats. *)
+let run_par_exec ?(dom = false) ?budget src =
+  let st, _ = fresh_state ~dom ?budget () in
+  let program = Jsir.Parser.parse_program src in
+  let pe =
+    Js_parallel.Par_exec.create ~mode:(Parallel (Lazy.force pool)) ~jobs:2 ()
+  in
+  Js_parallel.Par_exec.install pe st ~report:(Analysis.Driver.analyze program);
+  let outcome =
+    match Interp.Eval.run_program st program with
+    | () -> Ok (List.rev st.Interp.Value.console)
+    | exception e -> Error e
+  in
+  (outcome, pe)
 
 (* Evaluate a single expression in a fresh state. *)
 let eval_expr src =

@@ -331,21 +331,6 @@ let dynamic_carried_for src ~loop_id ~allowed_accums ~war_declared =
       | Ceres.Runtime.Induction_write _ ->
         false)
 
-(* One pool for all fuzzed par≡seq replays: a fresh pool per case
-   would dominate the battery's runtime. *)
-let fuzz_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
-
-let run_console ?par src =
-  let st, _ = Helpers.fresh_state () in
-  let program = Jsir.Parser.parse_program src in
-  (match par with
-   | Some pe ->
-     let report = Analysis.Driver.analyze program in
-     Js_parallel.Par_exec.install pe st ~report
-   | None -> ());
-  Interp.Eval.run_program st program;
-  st.Interp.Value.console
-
 let fuzz_soundness =
   QCheck.Test.make
     ~name:"static Parallel is dynamically conflict-free and par ≡ seq"
@@ -368,56 +353,11 @@ let fuzz_soundness =
                 under fork/merge parallel execution (poisoned
                 instances fall back to the master, so equality holds
                 even when the merge refuses) *)
-             let pe =
-               Js_parallel.Par_exec.create
-                 ~mode:(Js_parallel.Par_exec.Parallel (Lazy.force fuzz_pool))
-                 ~jobs:2 ()
-             in
-             run_console ~par:pe src = run_console src
+             fst (Helpers.run_par_exec src) = Ok (Helpers.run_console src)
            | Analysis.Verdict.Needs_runtime_check _
            | Analysis.Verdict.Sequential _ ->
              true)
        | _ -> false (* the generator emits exactly one loop *))
-
-(* ------------------------------------------------------------------ *)
-(* Speculation fast path *)
-
-let test_speculative_static_skip () =
-  let iter_src = "function (i) { return i * 2; }" in
-  let rep = Js_parallel.Speculative.analyze_candidate ~iter_src in
-  Alcotest.(check bool) "harness loop statically proven" true
-    (Js_parallel.Speculative.statically_proven rep);
-  let before = Js_parallel.Telemetry.speculation_skipped_static () in
-  (match
-     Js_parallel.Speculative.run ~domains:2 ~static_verdicts:rep
-       ~setup_src:"" ~iter_src ~lo:0 ~hi:100 ()
-   with
-   | Js_parallel.Speculative.Committed { result; _ } ->
-     Alcotest.(check (float 1e-9)) "sum of 2i" 9900.0 result
-   | Js_parallel.Speculative.Aborted r ->
-     Alcotest.fail (Js_parallel.Speculative.abort_reason_to_string r));
-  Alcotest.(check int) "telemetry counted the skip" (before + 1)
-    (Js_parallel.Telemetry.speculation_skipped_static ())
-
-let test_speculative_unproven_still_validates () =
-  (* A candidate the static analyzer cannot prove must take the
-     validated path — and abort on its real conflict. *)
-  let setup_src = "var shared = [0];" in
-  let iter_src = "function (i) { shared[0] = i; return shared[0]; }" in
-  let rep = Js_parallel.Speculative.analyze_candidate ~iter_src in
-  Alcotest.(check bool) "not statically proven" false
-    (Js_parallel.Speculative.statically_proven rep);
-  match
-    Js_parallel.Speculative.run ~domains:2 ~static_verdicts:rep ~setup_src
-      ~iter_src ~lo:0 ~hi:8 ()
-  with
-  | Js_parallel.Speculative.Aborted
-      (Js_parallel.Speculative.Carried_dependence _) ->
-    ()
-  | Js_parallel.Speculative.Aborted r ->
-    Alcotest.fail (Js_parallel.Speculative.abort_reason_to_string r)
-  | Js_parallel.Speculative.Committed _ ->
-    Alcotest.fail "conflicting candidate must abort"
 
 (* ------------------------------------------------------------------ *)
 
@@ -442,8 +382,4 @@ let suite =
     Alcotest.test_case "golden reports" `Quick test_goldens;
     Alcotest.test_case "crossval: 12 workloads sound" `Slow
       test_crossval_all_workloads;
-    qtest fuzz_soundness;
-    Alcotest.test_case "speculation skips on static proof" `Quick
-      test_speculative_static_skip;
-    Alcotest.test_case "speculation still validates unproven" `Quick
-      test_speculative_unproven_still_validates ]
+    qtest fuzz_soundness ]

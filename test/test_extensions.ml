@@ -26,23 +26,18 @@ let test_no_war_on_disjoint () =
     (Helpers.has_warning a ~sub:"anti-dependent write")
 
 let test_war_does_not_abort_speculation () =
-  (* the classic shift-left loop: out[i] = src[i+1]; reads run ahead of
-     writes, WAR only -> share-nothing speculation is sound *)
-  let setup = "var xs = [5, 4, 3, 2, 1, 0];" in
-  let iter = "function(i) { var nxt = xs[i + 1]; xs[i] = nxt; return nxt; }" in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-      ~lo:0 ~hi:5 ()
-  with
-  | Committed { result; _ } ->
-    let seq =
-      Js_parallel.Speculative.run_sequential ~setup_src:setup ~iter_src:iter
-        ~lo:0 ~hi:5 ()
-    in
-    Alcotest.(check (float 1e-9)) "replay matches sequential" seq result
-  | Aborted r ->
-    Alcotest.failf "WAR-only loop aborted: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
+  (* the classic shift-left loop: xs[i] = xs[i+1]; reads run ahead of
+     writes, WAR only -> the proven loop runs on share-nothing forks *)
+  let src =
+    "var xs = [];\n\
+     (function() { for (var j = 0; j < 41; j++) { xs.push(40 - j); } })();\n\
+     for (var i = 0; i < 40; i++) { xs[i] = xs[i + 1]; }\n\
+     console.log(xs.join(\",\"));"
+  in
+  let par, pe = Helpers.run_par_exec src in
+  Alcotest.(check (result (list string) reject))
+    "par = seq" (Ok (Helpers.run_console src)) par;
+  Alcotest.(check int) "run in parallel" 1 (Js_parallel.Par_exec.nests_run pe)
 
 (* ------------------------------------------------------------------ *)
 (* Polymorphism monitor *)

@@ -1,4 +1,4 @@
-(* Domain pool, parallel combinators and the speculative executor.
+(* Domain pool, parallel combinators and speculative loop execution.
    This container may expose a single core; every test here checks
    correctness (results, exceptions, abort reasons), never speedup. *)
 
@@ -339,114 +339,115 @@ let test_stats_json_shape () =
           "\"wall_ms\""; "\"fork_ms\""; "\"join_ms\""; "\"idle_spins\"" ])
 
 (* ------------------------------------------------------------------ *)
-(* Speculative executor *)
+(* Loop execution with fallback: Par_exec forks only the nests the static
+   analyzer proves and commits their merge; a poisoned instance is
+   discarded and re-run sequentially on the untouched master, and its
+   reason is recorded. *)
 
-let map_setup =
+(* [body] as the loop over [0, 40) after setting up 40-element [src]
+   and [dst] arrays (writes into preallocated slots: a fork that grows
+   an array conflicts with its siblings' growth) *)
+let map_loop body =
   "var src = []; var dst = [];\n\
-   (function() { for (var i = 0; i < 40; i++) { src.push(i * 3 % 11); } })();"
+   (function() {\n\
+     for (var i = 0; i < 40; i++) { src.push(i * 3 % 11); dst.push(0); }\n\
+   })();\n\
+   var acc = 0;\n\
+   for (var i = 0; i < 40; i++) { " ^ body ^ " }\n\
+   console.log(acc, dst.join(\",\"));"
+
+(* Every why-not fact the static analyzer attaches to [src]'s loops. *)
+let why_not src =
+  (Analysis.Driver.analyze (Jsir.Parser.parse_program src)).rows
+  |> List.concat_map (fun (r : Analysis.Driver.row) ->
+      Analysis.Verdict.facts r.verdict)
+  |> List.map (fun (f : Analysis.Verdict.fact) -> f.why)
+
+let commits_in_parallel src =
+  let par, pe = Helpers.run_par_exec src in
+  Alcotest.(check (result (list string) reject))
+    "par = seq" (Ok (Helpers.run_console src)) par;
+  Alcotest.(check int) "one nest run in parallel" 1
+    (Js_parallel.Par_exec.nests_run pe)
 
 let test_speculation_commits_on_map () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { dst[i] = src[i] * src[i]; return dst[i]; }"
-      ~lo:0 ~hi:40 ()
-  with
-  | Committed { result; _ } ->
-    let seq =
-      Js_parallel.Speculative.run_sequential ~setup_src:map_setup
-        ~iter_src:"function(i) { dst[i] = src[i] * src[i]; return dst[i]; }"
-        ~lo:0 ~hi:40 ()
-    in
-    Alcotest.(check (float 1e-9)) "parallel = sequential" seq result
-  | Aborted r ->
-    Alcotest.failf "unexpected abort: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
-
-let test_speculation_aborts_on_flow () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:
-        "function(i) { dst[i] = (i > 0 ? dst[i - 1] : 0) + src[i]; return dst[i]; }"
-      ~lo:0 ~hi:40 ()
-  with
-  | Committed _ -> Alcotest.fail "prefix sum must abort"
-  | Aborted (Carried_dependence reasons) ->
-    Alcotest.(check bool) "reason names the flow read" true
-      (List.exists (Helpers.contains ~sub:"read of property") reasons)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_aborts_on_waw () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { dst[0] = i; return i; }" ~lo:0 ~hi:40 ()
-  with
-  | Committed _ -> Alcotest.fail "all-write-one-slot must abort"
-  | Aborted (Carried_dependence reasons) ->
-    Alcotest.(check bool) "reason names the WAW" true
-      (List.exists (Helpers.contains ~sub:"repeated write") reasons)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_aborts_on_dom () =
-  let setup =
-    "var el = document.createElement(\"div\");\n\
-     document.body.appendChild(el);"
-  in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup
-      ~iter_src:"function(i) { el.setAttribute(\"n\", \"\" + i); return i; }"
-      ~lo:0 ~hi:10 ()
-  with
-  | Committed _ -> Alcotest.fail "DOM loop must abort"
-  | Aborted (Dom_access n) -> Alcotest.(check bool) "counted" true (n > 0)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_reports_runtime_errors () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:""
-      ~iter_src:"function(i) { return missing_function(i); }" ~lo:0 ~hi:4 ()
-  with
-  | Committed _ -> Alcotest.fail "must abort"
-  | Aborted (Runtime_error msg) ->
-    Alcotest.(check bool) "mentions the reference error" true
-      (Helpers.contains ~sub:"missing_function" msg)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-(* Satellite regression: a runaway iteration body used to blow the
-   whole speculation up with an escaping [Budget_exhausted]; it must
-   degrade into an abort that names the budget. *)
-let test_speculation_aborts_on_runaway_body () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~budget:100_000L ~setup_src:""
-      ~iter_src:"function(i) { while (true) { i = i + 1; } return i; }"
-      ~lo:0 ~hi:4 ()
-  with
-  | Committed _ -> Alcotest.fail "runaway body must abort"
-  | Aborted (Runtime_error msg) ->
-    Alcotest.(check bool) "reason names the budget" true
-      (Helpers.contains ~sub:"budget exhausted" msg)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
+  commits_in_parallel (map_loop "dst[i] = src[i] * src[i];")
 
 let test_speculation_reduction_accumulator_allowed () =
-  (* the harness's own __acc accumulation must not abort the loop *)
+  commits_in_parallel (map_loop "acc += src[i];")
+
+(* A loop the static analyzer refuses is never forked: its why-not
+   facts name the blocker, and Par_exec runs it sequentially. *)
+let refused_statically src ~fact =
+  let facts = why_not src in
+  if not (List.exists (Helpers.contains ~sub:fact) facts) then
+    Alcotest.failf "no fact names %S among: %s" fact
+      (String.concat "; " facts);
+  let par, pe = Helpers.run_par_exec ~dom:true src in
+  Alcotest.(check (result (list string) reject))
+    "par = seq" (Ok (Helpers.run_console ~dom:true src)) par;
+  Alcotest.(check int) "nothing forked" 0
+    (List.length (Js_parallel.Par_exec.nest_rows pe))
+
+let test_speculation_aborts_on_flow () =
+  refused_statically ~fact:"dst: stride 1 does not clear footprint"
+    (map_loop "dst[i] = (i > 0 ? dst[i - 1] : 0) + src[i];")
+
+let test_speculation_aborts_on_waw () =
+  refused_statically ~fact:"element of dst is rewritten every iteration"
+    (map_loop "dst[0] = i;")
+
+let test_speculation_aborts_on_dom () =
+  refused_statically ~fact:"accesses the host/DOM"
+    ("var el = document.createElement(\"div\");\n\
+      document.body.appendChild(el);\n"
+     ^ map_loop "el.setAttribute(\"n\", \"\" + i);")
+
+(* A proven loop poisoned at run time falls back once per instance,
+   under exactly one reason whose count equals the fallbacks. *)
+let falls_back_for ?budget src ~reason =
+  let par, pe = Helpers.run_par_exec ?budget src in
+  (match Js_parallel.Par_exec.nest_rows pe with
+   | [ (_, _, s) ] ->
+     Alcotest.(check int) "no parallel instance" 0 s.instances;
+     Alcotest.(check bool) "fell back" true (s.fallbacks > 0);
+     Alcotest.(check (list (pair string int))) "reason counted"
+       [ (reason, s.fallbacks) ] s.fallback_reasons
+   | rows ->
+     Alcotest.failf "expected one planned nest, got %d" (List.length rows));
+  par
+
+(* Plain sequential execution as the oracle: console or exception. *)
+let seq_outcome ?budget src =
+  match Helpers.run_console ?budget src with
+  | console -> Ok console
+  | exception e -> Error e
+
+let test_speculation_reports_runtime_errors () =
+  let src = map_loop "if (i == 30) { throw \"boom \" + i; } dst[i] = i;" in
   match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { return src[i]; }" ~lo:0 ~hi:40 ()
+    (falls_back_for src ~reason:"js exception inside chunk", seq_outcome src)
   with
-  | Committed { result; _ } ->
-    Alcotest.(check bool) "sum positive" true (result > 0.)
-  | Aborted r ->
-    Alcotest.failf "unexpected abort: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
+  | Error (Interp.Value.Js_throw (Str p)), Error (Interp.Value.Js_throw (Str s))
+    ->
+    Alcotest.(check string) "same throw as sequential" s p
+  | _ -> Alcotest.fail "both runs must raise the loop's throw"
+
+let test_speculation_aborts_on_runaway_body () =
+  let src = map_loop "var k = 0; while (true) { k = k + 1; } dst[i] = k;" in
+  match
+    ( falls_back_for ~budget:100_000L src
+        ~reason:"budget exhausted inside chunk",
+      seq_outcome ~budget:100_000L src )
+  with
+  | Error Interp.Value.Budget_exhausted, Error Interp.Value.Budget_exhausted -> ()
+  | _ -> Alcotest.fail "both runs must exhaust the budget"
+
+let test_math_random_reason () =
+  let src = map_loop "dst[i] = Math.random();" in
+  Alcotest.(check (result (list string) reject))
+    "par = seq" (Ok (Helpers.run_console src))
+    (falls_back_for src ~reason:"Math.random drawn inside chunk")
 
 (* ------------------------------------------------------------------ *)
 (* Native kernels: parallel equals sequential *)
@@ -498,4 +499,5 @@ let suite =
     ("speculation aborts on runaway body", `Quick,
      test_speculation_aborts_on_runaway_body);
     ("speculation allows reduction", `Quick, test_speculation_reduction_accumulator_allowed);
+    ("speculation reports Math.random", `Quick, test_math_random_reason);
     ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential) ]

@@ -89,18 +89,7 @@ let reduction_source init xs =
     (String.concat ", " (List.map string_of_int xs))
     init n
 
-let run_program_console ?par src =
-  let st, _ = Helpers.fresh_state () in
-  let program = Jsir.Parser.parse_program src in
-  (match par with
-   | Some pe ->
-     let report = Analysis.Driver.analyze program in
-     Js_parallel.Par_exec.install pe st ~report
-   | None -> ());
-  Interp.Eval.run_program st program;
-  st.Interp.Value.console
-
-let generated_reductions_deterministic pool =
+let generated_reductions_deterministic =
   QCheck.Test.make ~name:"generated reductions: par ≡ seq ≡ fold_left"
     ~count:30
     QCheck.(
@@ -108,16 +97,12 @@ let generated_reductions_deterministic pool =
         (list_of_size (Gen.int_range 16 64) (int_range (-10000) 10000)))
     (fun (init, xs) ->
        let src = reduction_source init xs in
-       let seq = run_program_console src in
-       let pe =
-         Js_parallel.Par_exec.create
-           ~mode:(Js_parallel.Par_exec.Parallel pool) ~jobs:2 ()
-       in
-       let par = run_program_console ~par:pe src in
+       let seq = Helpers.run_console src in
+       let par, pe = Helpers.run_par_exec src in
        let expect =
          Printf.sprintf "%d" (List.fold_left ( + ) init xs)
        in
-       par = seq && seq = [ expect ]
+       par = Ok seq && seq = [ expect ]
        && Js_parallel.Par_exec.nests_run pe = 1)
 
 (* [parallel_reduce]'s merged partials against the plain fold. *)
@@ -134,14 +119,10 @@ let parallel_reduce_equals_fold pool =
        in
        sum = List.fold_left ( + ) 0 xs)
 
-(* One pool for the qcheck batteries: creating a fresh pool per
-   generated case would dominate the suite's runtime. *)
-let shared_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
-
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
     Alcotest.test_case "proven nests execute via pool (-j 1/2/4)" `Slow
       test_proven_nests_execute;
-    qtest (generated_reductions_deterministic (Lazy.force shared_pool));
-    qtest (parallel_reduce_equals_fold (Lazy.force shared_pool)) ]
+    qtest generated_reductions_deterministic;
+    qtest (parallel_reduce_equals_fold (Lazy.force Helpers.pool)) ]
